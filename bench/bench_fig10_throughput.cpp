@@ -42,8 +42,9 @@ double measured_gbps(co::StreamEngine& engine, const std::string& algo,
                      bsrng::bench::JsonWriter& json) {
   engine.generate(co::StreamRequest{algo, 1}, buf);  // warm-up
   const auto rep = engine.generate(co::StreamRequest{algo, 1}, buf);
-  json.add({algo, co::find_algorithm(algo)->lanes, 1, rep.bytes,
-            rep.wall_seconds, rep.gbps()});
+  json.add({.algorithm = algo, .width = co::find_algorithm(algo)->lanes,
+            .workers = 1, .bytes = rep.bytes, .seconds = rep.wall_seconds,
+            .gbps = rep.gbps(), .task_lanes = rep.task_lanes});
   return rep.gbps();
 }
 

@@ -82,6 +82,12 @@ struct JsonRecord {
   std::int64_t transactions_predicted = -1;
   std::int64_t transactions_measured = -1;
   double tpa_predicted = -1.0;
+
+  // Optional StreamEngine rows: the lane width each partition task actually
+  // ran (ThroughputReport::task_lanes), which can be narrower than `width`
+  // when the engine split the kernel's lanes across workers.  0 omits the
+  // key.
+  std::size_t task_lanes = 0;
 };
 
 class JsonWriter {
@@ -141,6 +147,9 @@ class JsonWriter {
                       static_cast<double>(r.transactions_measured)));
       if (r.tpa_predicted >= 0.0)
         o.emplace("tpa_predicted", telemetry::JsonValue(r.tpa_predicted));
+      if (r.task_lanes > 0)
+        o.emplace("task_lanes",
+                  telemetry::JsonValue(static_cast<double>(r.task_lanes)));
       arr.emplace_back(std::move(o));
     }
     const std::string text = telemetry::JsonValue(std::move(arr)).dump();

@@ -68,7 +68,9 @@ void print_scaling(bsrng::bench::JsonWriter& json,
       std::printf("%-16s %-9zu %12.4f %16.2f %10s\n", algo.c_str(), d,
                   rep.wall_seconds, rep.modeled_speedup(),
                   gout == gref ? "yes" : "NO");
-      json.add({algo, width, d, rep.bytes, rep.wall_seconds, rep.gbps()});
+      json.add({.algorithm = algo, .width = width, .workers = d,
+                .bytes = rep.bytes, .seconds = rep.wall_seconds,
+                .gbps = rep.gbps(), .task_lanes = rep.task_lanes});
     }
   }
 
@@ -87,8 +89,9 @@ void print_scaling(bsrng::bench::JsonWriter& json,
     std::printf("%-9zu %12.4f %12.4f %16.2f %10s\n", w, rep.wall_seconds,
                 rep.sum_worker_seconds, rep.modeled_speedup(),
                 out == direct ? "yes" : "NO");
-    json.add({"aes-ctr-bs32", 32, w, rep.bytes, rep.wall_seconds,
-              rep.gbps()});
+    json.add({.algorithm = "aes-ctr-bs32", .width = 32, .workers = w,
+              .bytes = rep.bytes, .seconds = rep.wall_seconds,
+              .gbps = rep.gbps(), .task_lanes = rep.task_lanes});
   }
 
   std::printf(

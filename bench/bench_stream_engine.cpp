@@ -56,8 +56,12 @@ void print_engine_table(bsrng::bench::JsonWriter& json) {
     std::printf("%-16s %-11s %10.3f %10.3f %16.2f %10s\n", a.name.c_str(),
                 partition_name(a.partition), r1.gbps(), r4.gbps(),
                 r4.modeled_speedup(), ok1 && ok4 ? "yes" : "NO");
-    json.add({a.name, a.lanes, 1, r1.bytes, r1.wall_seconds, r1.gbps()});
-    json.add({a.name, a.lanes, 4, r4.bytes, r4.wall_seconds, r4.gbps()});
+    json.add({.algorithm = a.name, .width = a.lanes, .workers = 1,
+              .bytes = r1.bytes, .seconds = r1.wall_seconds,
+              .gbps = r1.gbps(), .task_lanes = r1.task_lanes});
+    json.add({.algorithm = a.name, .width = a.lanes, .workers = 4,
+              .bytes = r4.bytes, .seconds = r4.wall_seconds,
+              .gbps = r4.gbps(), .task_lanes = r4.task_lanes});
   }
   std::printf(
       "\nmodeled speedup is the work-balance bound (sum/max of per-worker\n"

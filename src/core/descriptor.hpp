@@ -4,7 +4,7 @@
 // One descriptor per cipher base name (mickey, grain, trivium, aes-ctr, a51,
 // chacha20) carries everything the three consuming layers need:
 //   * registry   — make_stream builds the "<base>-bs<width>" Generator;
-//                  make_at_block / make_lane_block build the PartitionSpec
+//                  make_at_block / make_lanes build the PartitionSpec
 //                  shards; partition / cryptographic / bits_per_step /
 //                  measure_gate_ops feed list_algorithms metadata.
 //   * gpusim     — run_kernel launches the cipher on the virtual GPU
@@ -62,13 +62,16 @@ struct AlgorithmDescriptor {
       std::uint64_t first_block)>
       make_at_block;
 
-  // kLaneSlice: the 32-lane column sub-stream over lanes
-  // [32 * lane_block, 32 * lane_block + 32) of the master derivation (the
-  // PartitionSpec::make_lane_block shard — width-independent because lane
-  // parameters depend only on lane index).  Null for kCounter ciphers.
+  // kLaneSlice: the `width`-lane sub-stream (width in {32, ..., 512}) over
+  // lanes [first_lane, first_lane + width) of the master derivation (the
+  // PartitionSpec::make_lanes shard).  Lane parameters depend only on the
+  // lane index, so this is byte columns [first_lane / 8, (first_lane +
+  // width) / 8) of every row of any wider stream of the same seed.  Null for
+  // kCounter ciphers.
   std::function<std::unique_ptr<Generator>(
-      std::string name, std::uint64_t seed, std::size_t lane_block)>
-      make_lane_block;
+      std::string name, std::uint64_t seed, std::size_t first_lane,
+      std::size_t width)>
+      make_lanes;
 
   // Launch this cipher's kernel on the virtual GPU (gpu_kernel.hpp
   // documents the geometry → stream mapping) and its host-side oracle for

@@ -2,7 +2,7 @@
 // generic builders.
 //
 // Every lane-sliced cipher (mickey/grain/trivium/a51) is lane_descriptor<T>
-// over a small traits struct (engine template + 32-lane shard builder);
+// over a small traits struct (engine template + lane-range builder);
 // every counter-mode cipher (aes-ctr/chacha20) is counter_descriptor<T>
 // (engine template + keyschedule CtrParams).  The builders wire the shared
 // adapters (core/adapters.hpp) and the generic kernel
@@ -69,54 +69,56 @@ struct CounterKernelEngine {
 
 // --- lane-sliced families ---------------------------------------------------
 // Traits contract: Engine<W> (master-seed constructible for any slice width)
-// and make_lane32(seed, first_lane) building the 32-lane engine over lanes
-// [first_lane, first_lane + 32) of the master derivation.
+// and make_lanes<W>(seed, first_lane) building the W-lane engine over lanes
+// [first_lane, first_lane + W) of the master derivation.  The gpusim kernels
+// use it at W = 32 (one engine per GPU thread); StreamEngine tasks use any
+// ladder width.
 
 struct MickeyTraits {
   template <typename W>
   using Engine = ciphers::MickeyBs<W>;
-  static ciphers::MickeyBs<U32> make_lane32(std::uint64_t seed,
-                                            std::size_t first_lane) {
-    std::vector<ciphers::MickeyBs<U32>::KeyBytes> keys(kLaneBlockLanes);
-    std::vector<ciphers::MickeyBs<U32>::IvBytes> ivs(kLaneBlockLanes);
+  template <typename W>
+  static Engine<W> make_lanes(std::uint64_t seed, std::size_t first_lane) {
+    std::vector<typename Engine<W>::KeyBytes> keys(bs::lane_count<W>);
+    std::vector<typename Engine<W>::IvBytes> ivs(bs::lane_count<W>);
     ciphers::derive_mickey_lane_params(seed, keys, ivs, first_lane);
-    return ciphers::MickeyBs<U32>(keys, ivs, ciphers::mickey::kMaxIvBits);
+    return Engine<W>(keys, ivs, ciphers::mickey::kMaxIvBits);
   }
 };
 
 struct GrainTraits {
   template <typename W>
   using Engine = ciphers::GrainBs<W>;
-  static ciphers::GrainBs<U32> make_lane32(std::uint64_t seed,
-                                           std::size_t first_lane) {
-    std::vector<ciphers::GrainBs<U32>::KeyBytes> keys(kLaneBlockLanes);
-    std::vector<ciphers::GrainBs<U32>::IvBytes> ivs(kLaneBlockLanes);
+  template <typename W>
+  static Engine<W> make_lanes(std::uint64_t seed, std::size_t first_lane) {
+    std::vector<typename Engine<W>::KeyBytes> keys(bs::lane_count<W>);
+    std::vector<typename Engine<W>::IvBytes> ivs(bs::lane_count<W>);
     ciphers::derive_grain_lane_params(seed, keys, ivs, first_lane);
-    return ciphers::GrainBs<U32>(keys, ivs);
+    return Engine<W>(keys, ivs);
   }
 };
 
 struct TriviumTraits {
   template <typename W>
   using Engine = ciphers::TriviumBs<W>;
-  static ciphers::TriviumBs<U32> make_lane32(std::uint64_t seed,
-                                             std::size_t first_lane) {
-    std::vector<ciphers::TriviumBs<U32>::KeyBytes> keys(kLaneBlockLanes);
-    std::vector<ciphers::TriviumBs<U32>::IvBytes> ivs(kLaneBlockLanes);
+  template <typename W>
+  static Engine<W> make_lanes(std::uint64_t seed, std::size_t first_lane) {
+    std::vector<typename Engine<W>::KeyBytes> keys(bs::lane_count<W>);
+    std::vector<typename Engine<W>::IvBytes> ivs(bs::lane_count<W>);
     ciphers::derive_trivium_lane_params(seed, keys, ivs, first_lane);
-    return ciphers::TriviumBs<U32>(keys, ivs);
+    return Engine<W>(keys, ivs);
   }
 };
 
 struct A51Traits {
   template <typename W>
   using Engine = ciphers::A51Bs<W>;
-  static ciphers::A51Bs<U32> make_lane32(std::uint64_t seed,
-                                         std::size_t first_lane) {
-    std::vector<ciphers::A51Bs<U32>::KeyBytes> keys(kLaneBlockLanes);
-    std::vector<std::uint32_t> frames(kLaneBlockLanes);
+  template <typename W>
+  static Engine<W> make_lanes(std::uint64_t seed, std::size_t first_lane) {
+    std::vector<typename Engine<W>::KeyBytes> keys(bs::lane_count<W>);
+    std::vector<std::uint32_t> frames(bs::lane_count<W>);
     ciphers::derive_a51_lane_params(seed, keys, frames, first_lane);
-    return ciphers::A51Bs<U32>(keys, frames);
+    return Engine<W>(keys, frames);
   }
 };
 
@@ -143,23 +145,28 @@ AlgorithmDescriptor lane_descriptor(const char* base, bool cryptographic) {
     });
     return g;
   };
-  d.make_lane_block = [](std::string name, std::uint64_t seed,
-                         std::size_t lane_block) -> std::unique_ptr<Generator> {
-    using E = typename Traits::template Engine<U32>;
-    return std::make_unique<adapters::SlicedStreamGen<U32, E>>(
-        std::move(name), Traits::make_lane32(seed, lane_block * kLaneBlockLanes));
+  d.make_lanes = [](std::string name, std::uint64_t seed,
+                    std::size_t first_lane, std::size_t width) {
+    std::unique_ptr<Generator> g;
+    adapters::with_slice_width(width, [&]<typename W>() {
+      using E = typename Traits::template Engine<W>;
+      g = std::make_unique<adapters::SlicedStreamGen<W, E>>(
+          std::move(name), Traits::template make_lanes<W>(seed, first_lane));
+    });
+    return g;
   };
   d.run_kernel = [name = std::string(base) + "_gpu_kernel"](
                      gpusim::Device& dev, const GpuKernelConfig& cfg) {
     return detail::run_kernel_generic(dev, cfg, name, [&cfg](std::size_t t) {
       using E = typename Traits::template Engine<U32>;
       return LaneKernelEngine<E>{
-          Traits::make_lane32(cfg.seed, t * kLaneBlockLanes)};
+          Traits::template make_lanes<U32>(cfg.seed, t * kLaneBlockLanes)};
     });
   };
   d.kernel_word = [](const GpuKernelConfig& cfg, std::size_t thread,
                      std::size_t w) {
-    auto e = Traits::make_lane32(cfg.seed, thread * kLaneBlockLanes);
+    auto e =
+        Traits::template make_lanes<U32>(cfg.seed, thread * kLaneBlockLanes);
     std::uint32_t out = 0;
     for (std::size_t i = 0; i <= w; ++i)
       out = static_cast<std::uint32_t>(e.step());

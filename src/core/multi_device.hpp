@@ -51,8 +51,8 @@ MultiDeviceReport multi_device_mickey(std::uint64_t master_seed,
 
 // Fill `out` with the canonical stream of ANY registered algorithm, split
 // across `devices` per the algorithm's own PartitionSpec (contiguous counter
-// ranges for kCounter, interleaved 32-lane columns for kLaneSlice, one
-// device for kSequential).  Byte-identical to make_generator(algorithm,
+// ranges for kCounter, interleaved lane columns for kLaneSlice — the
+// widest that give every device one — and one device for kSequential).  Byte-identical to make_generator(algorithm,
 // seed)->fill(out) for every device count — the §5.4 reconstruction
 // property, generalized from the two bespoke wrappers above via the
 // algorithm descriptor table.  Throws std::invalid_argument for unknown

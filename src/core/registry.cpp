@@ -292,14 +292,17 @@ PartitionSpec partition_spec(std::string_view name, std::uint64_t seed) {
       };
       return spec;
     }
-    // A W-lane serialized stream is rows of W/8 bytes; a 32-lane sub-engine
-    // over lanes [32b, 32b+32) — built from the same per-lane derivation as
-    // the full engine — reproduces byte columns [4b, 4b+4) of every row.
+    // A W-lane serialized stream is rows of W/8 bytes; a w-lane sub-engine
+    // over lanes [f, f+w) — built from the same per-lane derivation as the
+    // full engine — reproduces byte columns [f/8, (f+w)/8) of every row.
     spec.kind = PartitionKind::kLaneSlice;
     spec.lane_blocks = w / kLaneBlockLanes;
     spec.lane_block_bytes = kLaneBlockLanes / 8;
-    spec.make_lane_block = [d, n, seed](std::size_t b) {
-      return d->make_lane_block(n, seed, b);
+    spec.make_lanes = [d, n, seed](std::size_t first_lane, std::size_t width) {
+      return d->make_lanes(n, seed, first_lane, width);
+    };
+    spec.make_lane_block = [make = spec.make_lanes](std::size_t b) {
+      return make(b * kLaneBlockLanes, kLaneBlockLanes);
     };
     return spec;
   }

@@ -27,10 +27,10 @@ namespace bsrng::core {
 //                 (params, b); any contiguous block range can be generated
 //                 independently (aes-ctr-*, chacha20-*, philox).
 //   kLaneSlice  — bitsliced W-lane engines: lanes are independent instances,
-//                 so a 32-lane sub-engine over lanes [32b, 32b+32) reproduces
-//                 byte columns [4b, 4b+4) of every serialized slice row
+//                 so a w-lane sub-engine over lanes [f, f+w) reproduces byte
+//                 columns [f/8, (f+w)/8) of every serialized slice row
 //                 (mickey/grain/trivium/a51 bitsliced — the paper's per-GPU
-//                 device slices).
+//                 device slices at w = 32, any ladder width on the host).
 //   kSequential — no safe decomposition is known; the stream is produced by
 //                 one worker (scalar references and classical baselines).
 enum class PartitionKind { kCounter, kLaneSlice, kSequential };
@@ -55,6 +55,16 @@ struct PartitionSpec {
   std::size_t lane_block_bytes = 0;
   std::function<std::unique_ptr<Generator>(std::size_t lane_block)>
       make_lane_block;
+  // Optional, kLaneSlice: the column sub-stream over lanes
+  // [first_lane, first_lane + width) for any width in {32, ..., 512} that
+  // divides the row's lane count and any width-aligned first_lane — bytes
+  // [first_lane/8, (first_lane+width)/8) of every row.  When set,
+  // StreamEngine groups lanes into the widest tasks its worker count allows
+  // instead of one task per lane block.  Registry specs set it; hand-built
+  // specs (multi_device_mickey) may leave it empty.
+  std::function<std::unique_ptr<Generator>(std::size_t first_lane,
+                                           std::size_t width)>
+      make_lanes;
 
   // Always set: the whole-stream generator (the kSequential path, and the
   // reference every other path must reproduce).

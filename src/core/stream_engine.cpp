@@ -1,6 +1,7 @@
 #include "core/stream_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -93,103 +94,18 @@ ThroughputReport StreamEngine::resume(const stream::StreamCheckpoint& ck,
 ThroughputReport StreamEngine::generate(const PartitionSpec& spec,
                                         std::uint64_t offset,
                                         std::span<std::uint8_t> out) {
-  if (offset == 0) {
-    switch (spec.kind) {
-      case PartitionKind::kCounter:
-        return run_counter(spec, out);
-      case PartitionKind::kLaneSlice:
-        return run_lane_slice(spec, out);
-      case PartitionKind::kSequential:
-        return run_sequential(spec, out);
-    }
-    throw std::logic_error("StreamEngine: unhandled partition kind");
-  }
   // The span must fit the 2^64-byte stream address space: a wrapping end
-  // offset would undersize the lane-slice scratch envelope below and turn
-  // into an out-of-bounds read.
+  // offset would corrupt the seek arithmetic of every partition kind.
   if (out.size() > std::numeric_limits<std::uint64_t>::max() - offset)
     throw std::invalid_argument(
         "StreamEngine: offset + span length overflows the stream address");
   switch (spec.kind) {
-    case PartitionKind::kCounter: {
-      if (spec.block_bytes == 0 || !spec.make_at_block)
-        throw std::invalid_argument("StreamEngine: malformed kCounter spec");
-      const std::uint64_t bb = spec.block_bytes;
-      const std::uint64_t first_block = offset / bb;
-      const std::size_t lead = static_cast<std::size_t>(offset % bb);
-      // Unaligned head: one block generated into scratch, tail copied out.
-      std::size_t head = 0;
-      if (lead != 0 && !out.empty()) {
-        head = std::min<std::size_t>(spec.block_bytes - lead, out.size());
-        std::vector<std::uint8_t> scratch(lead + head);
-        auto gen = spec.make_at_block(first_block);
-        gen->fill(scratch);
-        std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lead),
-                  scratch.end(), out.begin());
-      }
-      // The rest is block-aligned: shift the spec's block origin and reuse
-      // the parallel counter path (O(1) seek — the §5.4 counter partition).
-      const std::uint64_t base = first_block + (lead != 0 ? 1 : 0);
-      PartitionSpec shifted = spec;
-      shifted.make_at_block = [&spec, base](std::uint64_t b) {
-        return spec.make_at_block(base + b);
-      };
-      ThroughputReport rep = run_counter(shifted, out.subspan(head));
-      rep.bytes = out.size();
-      return rep;
-    }
-    case PartitionKind::kLaneSlice: {
-      if (spec.lane_blocks == 0 || spec.lane_block_bytes == 0 ||
-          !spec.make_lane_block)
-        throw std::invalid_argument("StreamEngine: malformed kLaneSlice spec");
-      const std::uint64_t cb = spec.lane_block_bytes;
-      const std::uint64_t row = spec.lane_blocks * cb;
-      const std::uint64_t r0 = offset / row;
-      const std::size_t within = static_cast<std::size_t>(offset % row);
-      // Each 32-lane column sub-stream fast-forwards past its first r0 rows
-      // independently, inside its own pool task — the seek parallelizes
-      // exactly like generation does.
-      PartitionSpec shifted = spec;
-      shifted.make_lane_block = [&spec, r0, cb](std::size_t b) {
-        auto gen = spec.make_lane_block(b);
-        discard_bytes(*gen, r0 * cb);
-        return gen;
-      };
-      if (within == 0 && out.size() % row == 0)
-        return run_lane_slice(shifted, out);
-      if (out.empty()) return run_lane_slice(shifted, out);
-      // Row-align through a scratch envelope, then slice the request out.
-      // end >= 1 (out is non-empty) and cannot wrap (checked on entry), so
-      // ceil(end / row) is computed wrap-free as (end - 1) / row + 1.
-      const std::uint64_t end = offset + out.size();
-      const std::uint64_t rows = (end - 1) / row + 1 - r0;
-      if (rows > std::numeric_limits<std::size_t>::max() / row)
-        throw std::invalid_argument(
-            "StreamEngine: lane-slice scratch envelope overflows size_t");
-      std::vector<std::uint8_t> scratch(
-          static_cast<std::size_t>(rows * row));
-      ThroughputReport rep = run_lane_slice(shifted, scratch);
-      std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(within),
-                scratch.begin() + static_cast<std::ptrdiff_t>(within) +
-                    static_cast<std::ptrdiff_t>(out.size()),
-                out.begin());
-      rep.bytes = out.size();
-      return rep;
-    }
-    case PartitionKind::kSequential: {
-      if (!spec.make)
-        throw std::invalid_argument("StreamEngine: malformed kSequential spec");
-      return dispatch(out.empty() ? 0 : 1,
-                      [&](std::size_t, std::size_t) -> std::uint64_t {
-        auto gen = spec.make();
-        discard_bytes(*gen, offset);
-        const std::size_t chunk =
-            config_.chunk_bytes == 0 ? out.size() : config_.chunk_bytes;
-        for (std::size_t i = 0; i < out.size(); i += chunk)
-          gen->fill(out.subspan(i, std::min(chunk, out.size() - i)));
-        return out.size();
-      });
-    }
+    case PartitionKind::kCounter:
+      return run_counter(spec, offset, out);
+    case PartitionKind::kLaneSlice:
+      return run_lane_slice(spec, offset, out);
+    case PartitionKind::kSequential:
+      return run_sequential(spec, offset, out);
   }
   throw std::logic_error("StreamEngine: unhandled partition kind");
 }
@@ -233,11 +149,29 @@ ThroughputReport StreamEngine::dispatch(
 }
 
 ThroughputReport StreamEngine::run_counter(const PartitionSpec& spec,
+                                           std::uint64_t offset,
                                            std::span<std::uint8_t> out) {
   if (spec.block_bytes == 0 || !spec.make_at_block)
     throw std::invalid_argument("StreamEngine: malformed kCounter spec");
   const std::size_t bb = spec.block_bytes;
-  const std::size_t blocks_total = (out.size() + bb - 1) / bb;
+  const std::size_t lead = static_cast<std::size_t>(offset % bb);
+  std::atomic<std::size_t> task_lanes{0};
+  // Unaligned head: one block generated into scratch, tail copied out.
+  std::size_t head = 0;
+  if (lead != 0 && !out.empty()) {
+    head = std::min<std::size_t>(bb - lead, out.size());
+    std::vector<std::uint8_t> scratch(lead + head);
+    auto gen = spec.make_at_block(offset / bb);
+    gen->fill(scratch);
+    std::copy(scratch.begin() + static_cast<std::ptrdiff_t>(lead),
+              scratch.end(), out.begin());
+    task_lanes.store(gen->lanes(), std::memory_order_relaxed);
+  }
+  // The rest is block-aligned from block `base` — an O(1) seek, the §5.4
+  // counter partition.
+  const std::uint64_t base = offset / bb + (lead != 0 ? 1 : 0);
+  const std::span<std::uint8_t> body = out.subspan(head);
+  const std::size_t blocks_total = (body.size() + bb - 1) / bb;
   // Chunks are block-aligned so every shard's counter range is
   // self-contained (the paper's "different counter values ... passed to
   // GPUs", §5.4).  chunk_bytes == 0: one contiguous chunk per worker.
@@ -253,38 +187,80 @@ ThroughputReport StreamEngine::run_counter(const PartitionSpec& spec,
       blocks_total == 0 ? 0
                         : (blocks_total + blocks_per_chunk - 1) /
                               blocks_per_chunk;
-  return dispatch(nchunks, [&](std::size_t, std::size_t c) -> std::uint64_t {
-    const std::size_t first_block = c * blocks_per_chunk;
-    const std::size_t first_byte = first_block * bb;
-    const std::size_t last_byte =
-        std::min(out.size(), (first_block + blocks_per_chunk) * bb);
-    auto gen = spec.make_at_block(first_block);
-    gen->fill(out.subspan(first_byte, last_byte - first_byte));
-    return last_byte - first_byte;
-  });
+  ThroughputReport rep =
+      dispatch(nchunks, [&](std::size_t, std::size_t c) -> std::uint64_t {
+        const std::size_t first_block = c * blocks_per_chunk;
+        const std::size_t first_byte = first_block * bb;
+        const std::size_t last_byte =
+            std::min(body.size(), (first_block + blocks_per_chunk) * bb);
+        auto gen = spec.make_at_block(base + first_block);
+        gen->fill(body.subspan(first_byte, last_byte - first_byte));
+        task_lanes.store(gen->lanes(), std::memory_order_relaxed);
+        return last_byte - first_byte;
+      });
+  rep.bytes = out.size();
+  rep.task_lanes = task_lanes.load(std::memory_order_relaxed);
+  return rep;
 }
 
 ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
+                                              std::uint64_t offset,
                                               std::span<std::uint8_t> out) {
   if (spec.lane_blocks == 0 || spec.lane_block_bytes == 0 ||
       !spec.make_lane_block)
     throw std::invalid_argument("StreamEngine: malformed kLaneSlice spec");
-  const std::size_t nb = spec.lane_blocks;        // column sub-streams
-  const std::size_t cb = spec.lane_block_bytes;   // bytes per row per block
-  const std::size_t row = nb * cb;                // serialized row stride
-  const std::size_t rows = (out.size() + row - 1) / row;
-  // One task per lane block; the worker streams its column generator into
-  // alternating scratch buffers (double-buffered: the scatter of buffer A
-  // runs while buffer B is still warm from the previous round) and scatters
-  // rows into the interleaved output.  With a pool the buffers are the
-  // worker's persistent node-local pair (first-touched on that worker's
-  // thread, reused across batches); the inline path keeps task-local ones.
+  const std::size_t row = spec.lane_blocks * spec.lane_block_bytes;
+  // Task width: the widest ladder width (512 down to 64 lanes) that divides
+  // the row and still leaves at least one column task per worker; one lane
+  // block per task when no such width exists or the spec cannot build wider
+  // columns.  A narrow step costs nearly what a wide one does, so the
+  // fewest, widest tasks that keep every worker busy are the fastest.
+  std::size_t cb = spec.lane_block_bytes;  // bytes per row per column task
+  if (spec.make_lanes)
+    for (std::size_t w = 512; w >= 64; w /= 2)
+      if (row % (w / 8) == 0 && row / (w / 8) >= config_.workers) {
+        cb = w / 8;
+        break;
+      }
+  const std::size_t ncols = row / cb;
+  const auto make_column = [&](std::size_t c) {
+    return cb == spec.lane_block_bytes ? spec.make_lane_block(c)
+                                       : spec.make_lanes(c * cb * 8, cb * 8);
+  };
+  // The span starts `within` bytes into row r0 and covers `rows` rows.
+  const std::uint64_t r0 = offset / row;
+  const std::size_t within = static_cast<std::size_t>(offset % row);
+  const std::size_t rows =
+      out.empty() ? 0 : (within + out.size() - 1) / row + 1;
+  ThroughputReport rep;
+  if (ncols == 1) {
+    // One column spans the whole row: it is the stream itself, so it seeks
+    // past `offset` and fills `out` directly, with no scratch or scatter.
+    rep = dispatch(rows == 0 ? 0 : 1,
+                   [&](std::size_t, std::size_t) -> std::uint64_t {
+      auto gen = make_column(0);
+      discard_bytes(*gen, offset);
+      gen->fill(out);
+      return out.size();
+    });
+    rep.task_lanes = cb * 8;
+    return rep;
+  }
+  // One task per column; the worker fast-forwards its column generator past
+  // the first r0 rows (so the seek parallelizes exactly like generation),
+  // streams it into alternating scratch buffers (double-buffered: the
+  // scatter of buffer A runs while buffer B is still warm from the previous
+  // round) and scatters rows into the interleaved output.  With a pool the
+  // buffers are the worker's persistent node-local pair (first-touched on
+  // that worker's thread, reused across batches); the inline path keeps
+  // task-local ones.
   const std::size_t rows_per_chunk = std::max<std::size_t>(
       1, (config_.chunk_bytes == 0 ? (1u << 18) : config_.chunk_bytes) / cb);
   const bool pooled = config_.parallel && pool_ != nullptr;
-  return dispatch(rows == 0 ? 0 : nb,
-                  [&](std::size_t worker, std::size_t b) -> std::uint64_t {
-    auto gen = spec.make_lane_block(b);
+  rep = dispatch(rows == 0 ? 0 : ncols,
+                 [&](std::size_t worker, std::size_t c) -> std::uint64_t {
+    auto gen = make_column(c);
+    discard_bytes(*gen, r0 * cb);
     std::vector<std::uint8_t> local[2];
     const auto buf = [&](std::size_t which) -> std::vector<std::uint8_t>& {
       return pooled ? pool_->scratch(worker, which) : local[which];
@@ -293,37 +269,50 @@ ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
     if (buf(1).size() < rows_per_chunk * cb) buf(1).resize(rows_per_chunk * cb);
     std::uint64_t produced = 0;
     std::size_t which = 0;
-    for (std::size_t r0 = 0; r0 < rows; r0 += rows_per_chunk, which ^= 1) {
-      const std::size_t r1 = std::min(rows, r0 + rows_per_chunk);
+    for (std::size_t r = 0; r < rows; r += rows_per_chunk, which ^= 1) {
+      const std::size_t r1 = std::min(rows, r + rows_per_chunk);
       std::vector<std::uint8_t>& col = buf(which);
-      gen->fill(std::span(col.data(), (r1 - r0) * cb));
-      for (std::size_t r = r0; r < r1; ++r) {
-        const std::size_t dst = r * row + b * cb;
-        if (dst >= out.size()) break;
-        const std::size_t n = std::min(cb, out.size() - dst);
-        std::memcpy(out.data() + dst, col.data() + (r - r0) * cb, n);
-        produced += n;
+      gen->fill(std::span(col.data(), (r1 - r) * cb));
+      // Row k's column bytes sit at [lo, lo + cb) of the row-aligned window
+      // that starts `within` bytes before out[0]; copy their overlap.
+      for (std::size_t k = r; k < r1; ++k) {
+        const std::size_t lo = k * row + c * cb;
+        const std::size_t a = std::max(lo, within);
+        const std::size_t e = std::min(lo + cb, within + out.size());
+        if (a >= e) continue;
+        std::memcpy(out.data() + (a - within),
+                    col.data() + (k - r) * cb + (a - lo), e - a);
+        produced += e - a;
       }
     }
     return produced;
   });
+  rep.task_lanes = cb * 8;
+  return rep;
 }
 
 ThroughputReport StreamEngine::run_sequential(const PartitionSpec& spec,
+                                              std::uint64_t offset,
                                               std::span<std::uint8_t> out) {
   if (!spec.make)
     throw std::invalid_argument("StreamEngine: malformed kSequential spec");
-  // No safe decomposition: one task produces the whole stream, chunked so
-  // the report still reflects steady-state generation.
-  return dispatch(out.empty() ? 0 : 1,
-                  [&](std::size_t, std::size_t) -> std::uint64_t {
-    auto gen = spec.make();
-    const std::size_t chunk =
-        config_.chunk_bytes == 0 ? out.size() : config_.chunk_bytes;
-    for (std::size_t i = 0; i < out.size(); i += chunk)
-      gen->fill(out.subspan(i, std::min(chunk, out.size() - i)));
-    return out.size();
-  });
+  // No safe decomposition: one task clocks one generator past `offset` and
+  // produces the whole span, chunked so the report still reflects
+  // steady-state generation.
+  std::size_t task_lanes = 0;
+  ThroughputReport rep = dispatch(
+      out.empty() ? 0 : 1, [&](std::size_t, std::size_t) -> std::uint64_t {
+        auto gen = spec.make();
+        task_lanes = gen->lanes();
+        discard_bytes(*gen, offset);
+        const std::size_t chunk =
+            config_.chunk_bytes == 0 ? out.size() : config_.chunk_bytes;
+        for (std::size_t i = 0; i < out.size(); i += chunk)
+          gen->fill(out.subspan(i, std::min(chunk, out.size() - i)));
+        return out.size();
+      });
+  rep.task_lanes = task_lanes;
+  return rep;
 }
 
 }  // namespace bsrng::core

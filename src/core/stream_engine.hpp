@@ -12,10 +12,14 @@
 //   kCounter    — the span is cut into block-aligned chunks; each worker
 //                 claims chunks dynamically and generates them with a shard
 //                 generator seeked to the chunk's first block.
-//   kLaneSlice  — each worker claims 32-lane column sub-streams and scatters
-//                 their bytes into the interleaved row layout, double-
-//                 buffered per worker so generation and scatter alternate on
-//                 warm buffers (the buffers live in the pool, node-local).
+//   kLaneSlice  — the row's lanes are grouped into column tasks of the
+//                 widest ladder width w (32..512 lanes) that still gives every
+//                 worker a task; each worker runs a w-lane engine over its
+//                 lanes and scatters the bytes into the interleaved row
+//                 layout, double-buffered per worker so generation and
+//                 scatter alternate on warm buffers (the buffers live in the
+//                 pool, node-local).  With one worker the task is the whole
+//                 row: the full-width kernel fills the output directly.
 //   kSequential — one worker produces the whole stream in chunks (no safe
 //                 decomposition; determinism is trivial).
 //
@@ -23,9 +27,7 @@
 // (algorithm, root seed, tenant→stream→shard path, byte offset) and
 // generate(req, out) fills bytes [offset, offset + out.size()) of that
 // substream — the same bytes for every worker count, NUMA node count,
-// backend, and protocol version (the fabric's byte-exactness law).  The
-// historical (algorithm, seed) overload pairs survive as [[deprecated]]
-// forwarders; see the README migration table.
+// backend, and protocol version (the fabric's byte-exactness law).
 //
 // checkpoint()/resume() turn any position into a serializable
 // stream::StreamCheckpoint and back — O(1) both ways for counter specs.
@@ -36,7 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
+#include <string>
 
 #include "core/registry.hpp"
 #include "core/thread_pool.hpp"
@@ -91,8 +93,9 @@ class StreamEngine {
   // make_generator(req.algorithm, req.derived_seed())->fill over the same
   // range, for every worker count.  Seek cost depends on the partition
   // kind: kCounter seeks in O(1) via make_at_block (offsets past 2^40 are
-  // fine), kLaneSlice fast-forwards each 32-lane column sub-stream
-  // independently, and kSequential clocks one generator past the offset.
+  // fine), kLaneSlice fast-forwards each column task's sub-stream
+  // independently (one full-width generator when there is one worker), and
+  // kSequential clocks one generator past the offset.
   ThroughputReport generate(const StreamRequest& req,
                             std::span<std::uint8_t> out);
 
@@ -116,41 +119,15 @@ class StreamEngine {
   ThroughputReport resume(const stream::StreamCheckpoint& ck,
                           std::span<std::uint8_t> out);
 
-  // --- historical overloads (pre-StreamRef), thin forwarders ------------
-
-  [[deprecated("use generate(StreamRequest{algo, seed}, out)")]]
-  ThroughputReport generate(std::string_view algo, std::uint64_t seed,
-                            std::span<std::uint8_t> out) {
-    return generate(StreamRequest{std::string(algo), seed, {}, 0}, out);
-  }
-
-  [[deprecated("use generate(spec, 0, out)")]]
-  ThroughputReport generate(const PartitionSpec& spec,
-                            std::span<std::uint8_t> out) {
-    return generate(spec, 0, out);
-  }
-
-  [[deprecated(
-      "use generate(StreamRequest{algo, seed, {}, offset}, out)")]]
-  ThroughputReport generate_at(std::string_view algo, std::uint64_t seed,
-                               std::uint64_t offset,
-                               std::span<std::uint8_t> out) {
-    return generate(StreamRequest{std::string(algo), seed, {}, offset}, out);
-  }
-
-  [[deprecated("use generate(spec, offset, out)")]]
-  ThroughputReport generate_at(const PartitionSpec& spec,
-                               std::uint64_t offset,
-                               std::span<std::uint8_t> out) {
-    return generate(spec, offset, out);
-  }
-
  private:
   ThroughputReport run_counter(const PartitionSpec& spec,
+                               std::uint64_t offset,
                                std::span<std::uint8_t> out);
   ThroughputReport run_lane_slice(const PartitionSpec& spec,
+                                  std::uint64_t offset,
                                   std::span<std::uint8_t> out);
   ThroughputReport run_sequential(const PartitionSpec& spec,
+                                  std::uint64_t offset,
                                   std::span<std::uint8_t> out);
 
   // Run task(worker, t) for t in [0, ntasks) honoring config_.parallel;

@@ -42,6 +42,11 @@ struct ThroughputReport {
   double sum_worker_seconds = 0.0;  // total work (1-worker-equivalent time)
   std::vector<WorkerStat> per_worker;
 
+  // Lane width of the generator each partition task ran (kLaneSlice: the
+  // column width the engine picked for its worker count; kCounter and
+  // kSequential: the shard generator's lanes()).  0 when no task ran.
+  std::size_t task_lanes = 0;
+
   // Degradation-ladder annotations (multi_device gpusim backend): how many
   // simulated device launches faulted, and whether the span was regenerated
   // through the host StreamEngine path as a result.  Output bytes are

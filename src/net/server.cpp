@@ -117,6 +117,9 @@ struct Server::Impl {
   std::thread loop_thread;
   std::atomic<bool> stop_flag{false};
   std::atomic<bool> drain_flag{false};
+  // Set by the loop once it has seen drain_flag and accepted every
+  // connection the kernel completed before it (or once the loop has ended).
+  std::atomic<bool> drain_acked{false};
   std::uint16_t bound_port = 0;
 
   std::atomic<std::uint64_t> accepted{0};
@@ -281,9 +284,12 @@ struct Server::Impl {
     listen_fd = wake_rd = wake_wr = -1;
   }
 
-  // Graceful drain: flag the loop (stop accepting; sweep walks quiet
-  // connections to closing), then wait for the population to hit zero or
-  // the deadline — whichever first — and stop().
+  // Graceful drain: flag the loop (accept what the kernel has already
+  // queued, then stop accepting; sweep walks quiet connections to closing),
+  // wait for the loop to acknowledge, then wait for the population to hit
+  // zero or the deadline — whichever first — and stop().  Without the
+  // acknowledgement a client whose connect() completed just before the
+  // drain was never accepted, and its buffered requests were lost.
   void drain(int deadline_ms) {
     if (!loop_thread.joinable()) return;
     if (!drain_flag.exchange(true, std::memory_order_acq_rel)) {
@@ -294,7 +300,8 @@ struct Server::Impl {
     [[maybe_unused]] const ssize_t w = ::write(wake_wr, &b, 1);
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(std::max(0, deadline_ms));
-    while (connections.load(std::memory_order_relaxed) > 0 &&
+    while ((!drain_acked.load(std::memory_order_acquire) ||
+            connections.load(std::memory_order_relaxed) > 0) &&
            Clock::now() < deadline)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     stop();
@@ -307,6 +314,11 @@ struct Server::Impl {
   void loop() {
     std::vector<pollfd> pfds;
     while (!stop_flag.load(std::memory_order_acquire)) {
+      if (drain_flag.load(std::memory_order_acquire) &&
+          !drain_acked.load(std::memory_order_relaxed)) {
+        accept_new();
+        drain_acked.store(true, std::memory_order_release);
+      }
       pfds.clear();
       pfds.push_back({wake_rd, POLLIN, 0});
       // A full house stops accepting (negative fd = ignored by poll); the
@@ -380,6 +392,7 @@ struct Server::Impl {
     }
     conns.clear();
     connections.store(0, std::memory_order_relaxed);
+    drain_acked.store(true, std::memory_order_release);
     NetMetrics::get().connections.set(0);
     NetMetrics::get().sessions.set(
         static_cast<double>(sessions.load(std::memory_order_relaxed)));

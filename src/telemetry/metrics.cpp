@@ -40,7 +40,6 @@ std::span<const double> Histogram::default_latency_bounds() {
 MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
                                                MetricKind kind,
                                                std::span<const double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
   const auto it = std::lower_bound(
       entries_.begin(), entries_.end(), name,
       [](const auto& e, std::string_view n) { return e.first < n; });
@@ -67,16 +66,22 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
   return entries_.insert(it, {std::string(name), std::move(e)})->second;
 }
 
+// The metric pointer is read while mu_ is still held: a concurrent insert
+// shifts entries_, so an Entry& must not outlive the lock (the metric it
+// owns does — it lives behind a unique_ptr).
 Counter& MetricsRegistry::counter(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *entry(name, MetricKind::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *entry(name, MetricKind::kGauge).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::span<const double> bounds) {
+  std::lock_guard<std::mutex> lock(mu_);
   return *entry(name, MetricKind::kHistogram, bounds).histogram;
 }
 

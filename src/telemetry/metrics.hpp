@@ -176,6 +176,8 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
+  // Find or insert `name`; the caller holds mu_ and must not keep the
+  // returned reference past it (an insert moves entries).
   Entry& entry(std::string_view name, MetricKind kind,
                std::span<const double> bounds = {});
 

@@ -274,3 +274,149 @@ TEST(StreamEngineGenerateAt, BackToBackSpansFromInterleavedSessionsAreSeamless) 
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Task width.  Lane-slice specs build column sub-streams of any ladder width
+// (make_lanes), and the engine groups the kernel's W lanes into the widest
+// columns that still give every worker a task.  Only the grouping changes:
+// the lane layout, and so every byte, stays the canonical W-lane stream.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+const char* const kLaneSliceCiphers[] = {"mickey", "grain", "trivium", "a51"};
+constexpr std::size_t kLadder[] = {32, 64, 128, 256, 512};
+
+// The width rule, restated: the widest ladder width dividing W that leaves
+// at least one column per worker; 32 lanes when no width does.
+std::size_t predicted_task_lanes(std::size_t kernel_lanes,
+                                 std::size_t workers) {
+  for (std::size_t w = 512; w >= 64; w /= 2)
+    if (kernel_lanes % w == 0 && kernel_lanes / w >= workers) return w;
+  return 32;
+}
+
+std::size_t total_tasks(const co::ThroughputReport& rep) {
+  std::size_t tasks = 0;
+  for (const auto& w : rep.per_worker) tasks += w.tasks;
+  return tasks;
+}
+
+}  // namespace
+
+TEST(StreamEngineTaskWidth, MakeLanesReproducesTheByteColumnsOfTheFullStream) {
+  constexpr std::size_t kRows = 96;
+  constexpr std::size_t kRow = 512 / 8;
+  for (const char* c : kLaneSliceCiphers) {
+    const std::string name = std::string(c) + "-bs512";
+    std::vector<std::uint8_t> full(kRows * kRow);
+    co::make_generator(name, kSeed)->fill(full);
+    const co::PartitionSpec spec = co::partition_spec(name, kSeed);
+    ASSERT_TRUE(spec.make_lanes != nullptr) << name;
+    for (const std::size_t w : kLadder) {
+      const std::size_t cb = w / 8;
+      for (std::size_t first = 0; first < 512; first += w) {
+        auto gen = spec.make_lanes(first, w);
+        EXPECT_EQ(gen->lanes(), w) << name;
+        std::vector<std::uint8_t> col(kRows * cb);
+        gen->fill(col);
+        for (std::size_t r = 0; r < kRows; ++r)
+          ASSERT_TRUE(std::equal(col.begin() + static_cast<std::ptrdiff_t>(
+                                                   r * cb),
+                                 col.begin() + static_cast<std::ptrdiff_t>(
+                                                   (r + 1) * cb),
+                                 full.begin() + static_cast<std::ptrdiff_t>(
+                                                    r * kRow + first / 8)))
+              << name << " w=" << w << " first_lane=" << first << " row "
+              << r;
+      }
+    }
+  }
+}
+
+TEST(StreamEngineTaskWidth, EveryWorkerCountIsByteIdenticalAtAnyOffset) {
+  // Spans: a row-aligned start with a ragged end, and two starts inside a
+  // row (one of them past the first scatter chunk).  chunk_bytes is small
+  // so each column runs several double-buffered rounds.
+  struct Span {
+    std::size_t offset, n;
+  };
+  const Span spans[] = {{0, 40000 + 5}, {13, 9000}, {64 * 70 + 37, 20011}};
+  for (const char* c : kLaneSliceCiphers) {
+    for (const char* suffix : {"-bs512", "-bs128"}) {
+      const std::string name = std::string(c) + suffix;
+      const std::size_t kernel_lanes = co::find_algorithm(name)->lanes;
+      std::vector<std::uint8_t> reference(64 * 70 + 37 + 40000 + 5);
+      co::make_generator(name, kSeed)->fill(reference);
+      for (const std::size_t workers :
+           {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u, 33u}) {
+        co::StreamEngine engine({.workers = workers, .chunk_bytes = 4096});
+        const std::size_t w = predicted_task_lanes(kernel_lanes, workers);
+        for (const Span& s : spans) {
+          std::vector<std::uint8_t> out(s.n, 0xAA);
+          const auto rep = engine.generate({name, kSeed, {}, s.offset}, out);
+          ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                 reference.begin() +
+                                     static_cast<std::ptrdiff_t>(s.offset)))
+              << name << " workers " << workers << " offset " << s.offset;
+          EXPECT_EQ(rep.bytes, s.n) << name;
+          EXPECT_EQ(rep.task_lanes, w) << name << " workers " << workers;
+          EXPECT_EQ(total_tasks(rep), kernel_lanes / w)
+              << name << " workers " << workers;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamEngineTaskWidth, OneWorkerRunsTheWholeRowAsOneTask) {
+  // workers == 1: the single column is the stream itself and fills the
+  // output directly, including an offset that is not row-aligned.
+  for (const char* c : kLaneSliceCiphers) {
+    for (const std::size_t width : kLadder) {
+      const std::string name = std::string(c) + "-bs" + std::to_string(width);
+      std::vector<std::uint8_t> reference(777 + 5003);
+      co::make_generator(name, kSeed)->fill(reference);
+      co::StreamEngine engine({.workers = 1});
+      for (const std::size_t offset : {0u, 777u}) {
+        std::vector<std::uint8_t> out(5003, 0x55);
+        const auto rep = engine.generate({name, kSeed, {}, offset}, out);
+        ASSERT_TRUE(std::equal(
+            out.begin(), out.end(),
+            reference.begin() + static_cast<std::ptrdiff_t>(offset)))
+            << name << " offset " << offset;
+        EXPECT_EQ(rep.task_lanes, width) << name;
+        EXPECT_EQ(total_tasks(rep), 1u) << name;
+      }
+    }
+  }
+}
+
+TEST(StreamEngineTaskWidth, SpecsWithoutMakeLanesKeepLaneBlockTasks) {
+  // A hand-built spec that only knows its 32-lane blocks is split into
+  // exactly those blocks, whatever the worker count.
+  const std::string name = "grain-bs256";
+  co::PartitionSpec spec = co::partition_spec(name, kSeed);
+  spec.make_lanes = nullptr;
+  std::vector<std::uint8_t> reference(10007);
+  co::make_generator(name, kSeed)->fill(reference);
+  for (const std::size_t workers : {1u, 4u}) {
+    co::StreamEngine engine({.workers = workers});
+    std::vector<std::uint8_t> out(10000);
+    const auto rep = engine.generate(spec, 7, out);
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), reference.begin() + 7))
+        << "workers " << workers;
+    EXPECT_EQ(rep.task_lanes, 32u);
+    EXPECT_EQ(total_tasks(rep), 256u / 32u);
+  }
+}
+
+TEST(StreamEngineTaskWidth, CounterAndSequentialReportTheirShardWidth) {
+  co::StreamEngine engine({.workers = 3, .chunk_bytes = 1u << 12});
+  std::vector<std::uint8_t> out(20000);
+  EXPECT_EQ(engine.generate({"aes-ctr-bs512", kSeed}, out).task_lanes, 512u);
+  EXPECT_EQ(engine.generate({"chacha20-bs64", kSeed, {}, 5}, out).task_lanes,
+            64u);
+  EXPECT_EQ(engine.generate({"mt19937", kSeed, {}, 3}, out).task_lanes, 1u);
+  EXPECT_EQ(engine.generate({"mt19937", kSeed}, {}).task_lanes, 0u);
+}

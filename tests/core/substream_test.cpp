@@ -3,7 +3,7 @@
 // laws the redesign promises (ISSUE 9):
 //
 //   (a) a StreamRef's bytes are identical across worker counts, NUMA node
-//       counts, host vs gpusim, and the deprecated v1 call forms;
+//       counts, and host vs gpusim;
 //   (b) a checkpoint minted at ANY offset resumes byte-exactly in a fresh
 //       engine (the in-process version of kill -9 + restart: serialize,
 //       drop every live object, parse, resume);
@@ -225,38 +225,3 @@ TEST(Substream, CheckpointRejectsUnknownAlgorithms) {
       },
       std::invalid_argument);
 }
-
-// ---------------------------------------------------------------------------
-// The deprecated v1 overloads are thin forwarders; their output must be
-// bit-identical to the StreamRef forms they forward to.  This is the ONLY
-// place the old spellings may still be called.
-// ---------------------------------------------------------------------------
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(SubstreamCompat, DeprecatedWrappersForwardExactly) {
-  const std::size_t n = 8192 + 1;
-  co::StreamEngine engine({.workers = 3, .chunk_bytes = 1u << 11});
-  for (const char* name : {"aes-ctr-bs32", "mickey-bs64", "mt19937"}) {
-    std::vector<std::uint8_t> via_new(n), via_old(n);
-
-    engine.generate(co::StreamRequest{name, 11, {}, 0}, via_new);
-    engine.generate(name, std::uint64_t{11}, std::span(via_old));
-    EXPECT_EQ(via_old, via_new) << name << " generate(algo, seed)";
-
-    engine.generate(co::StreamRequest{name, 11, {}, 777}, via_new);
-    engine.generate_at(name, 11, 777, via_old);
-    EXPECT_EQ(via_old, via_new) << name << " generate_at(algo, seed, off)";
-
-    const co::PartitionSpec spec = co::partition_spec(name, 11);
-    engine.generate(spec, 0, via_new);
-    engine.generate(spec, via_old);
-    EXPECT_EQ(via_old, via_new) << name << " generate(spec)";
-
-    engine.generate(spec, 313, via_new);
-    engine.generate_at(spec, 313, via_old);
-    EXPECT_EQ(via_old, via_new) << name << " generate_at(spec, off)";
-  }
-}
-
-#pragma GCC diagnostic pop

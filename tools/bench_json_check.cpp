@@ -20,6 +20,10 @@
 //   transactions_measured   number, non-negative integer
 //   tpa_predicted           number, >= 0, finite
 //
+// and, optionally (StreamEngine rows: the lane width each task ran):
+//
+//   task_lanes              number, positive integer
+//
 // and, optionally (bsrng_loadgen throughput rows, backend "net"):
 //
 //   connections             number, positive integer
@@ -125,6 +129,9 @@ bool check_file(const char* path) {
                        /*integral=*/true, 0.0, /*optional=*/true);
     ok &= check_number(rec, path, i, "tpa_predicted", /*integral=*/false, 0.0,
                        /*optional=*/true);
+    // Optional engine key (StreamEngine rows).
+    ok &= check_number(rec, path, i, "task_lanes", /*integral=*/true, 1.0,
+                       /*optional=*/true);
     // Optional loadgen keys (bsrng_loadgen --json soak records).
     ok &= check_number(rec, path, i, "connections", /*integral=*/true, 1.0,
                        /*optional=*/true);
@@ -148,7 +155,7 @@ bool check_file(const char* path) {
     std::size_t known = 8;
     for (const char* opt :
          {"transactions_predicted", "transactions_measured", "tpa_predicted",
-          "connections", "requests", "oracle_mismatches", "retries",
+          "task_lanes", "connections", "requests", "oracle_mismatches", "retries",
           "reconnects", "faults_injected", "tenant", "stream",
           "checkpoint_resumes"})
       if (rec.find(opt) != nullptr) ++known;
