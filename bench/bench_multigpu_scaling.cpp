@@ -3,7 +3,8 @@
 // reconstruction.  Devices here are host threads (the paper drives each GPU
 // from one OpenMP thread); with a single host core the wall-clock column is
 // flat, so the work-balance model (sum/max of per-device busy time) carries
-// the scaling claim — both are printed.
+// the scaling claim — both are printed.  Exits 1 when any "identical"
+// column reads NO.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -19,39 +20,35 @@ namespace co = bsrng::core;
 namespace {
 
 constexpr std::size_t kBytes = 4u << 20;
+constexpr std::uint64_t kAesSeed = 0x42;
 
-void print_scaling(bsrng::bench::JsonWriter& json,
+// Prints the tables; returns false when any reconstruction differs from the
+// single-generator stream.
+bool print_scaling(bsrng::bench::JsonWriter& json,
                    const std::vector<std::string>& algos) {
-  const std::vector<std::uint8_t> key(16, 0x42), nonce(12, 0x17);
+  bool identical = true;
+  const auto check = [&](bool same) {
+    identical = identical && same;
+    return same ? "yes" : "NO";
+  };
   std::vector<std::uint8_t> reference(kBytes), out(kBytes);
-  co::multi_device_aes_ctr(key, nonce, 1, reference, /*parallel=*/false);
+  co::make_generator("aes-ctr-bs32", kAesSeed)->fill(reference);
 
   std::printf("\n=== §5.4 multi-device scaling (AES-CTR, %zu MiB) ===\n",
               kBytes >> 20);
   std::printf("%-9s %12s %12s %12s %16s %10s\n", "devices", "wall s",
               "max-dev s", "sum-dev s", "modeled speedup", "identical");
   for (const std::size_t d : {1u, 2u, 4u, 8u}) {
-    const auto rep = co::multi_device_aes_ctr(key, nonce, d, out);
+    const auto rep = co::multi_device_generate("aes-ctr-bs32", kAesSeed, d,
+                                               out);
     std::printf("%-9zu %12.4f %12.4f %12.4f %16.2f %10s\n", d,
                 rep.wall_seconds, rep.max_worker_seconds,
                 rep.sum_worker_seconds, rep.modeled_speedup(),
-                out == reference ? "yes" : "NO");
+                check(out == reference));
     json.add({"aes-ctr-bs32", 32, d, rep.bytes, rep.wall_seconds,
               rep.gbps()});
   }
 
-  std::printf("\n=== §5.4 multi-device MICKEY (lane-partitioned) ===\n");
-  std::printf("%-9s %12s %16s %10s\n", "devices", "wall s", "modeled speedup",
-              "identical");
-  std::vector<std::uint8_t> mref(1u << 20), mout(1u << 20);
-  co::multi_device_mickey(99, 4, mref, /*parallel=*/false);
-  for (const std::size_t d : {4u}) {
-    const auto rep = co::multi_device_mickey(99, d, mout);
-    std::printf("%-9zu %12.4f %16.2f %10s\n", d, rep.wall_seconds,
-                rep.modeled_speedup(), mout == mref ? "yes" : "NO");
-    json.add({"mickey-bs32", 32, d, rep.bytes, rep.wall_seconds,
-              rep.gbps()});
-  }
   // Any registered algorithm through the descriptor-driven entry point:
   // multi_device_generate shards per the algorithm's own PartitionSpec, and
   // reconstruction stays bit-identical to the single-generator stream for
@@ -67,17 +64,17 @@ void print_scaling(bsrng::bench::JsonWriter& json,
       const auto rep = co::multi_device_generate(algo, 5, d, gout);
       std::printf("%-16s %-9zu %12.4f %16.2f %10s\n", algo.c_str(), d,
                   rep.wall_seconds, rep.modeled_speedup(),
-                  gout == gref ? "yes" : "NO");
+                  check(gout == gref));
       json.add({.algorithm = algo, .width = width, .workers = d,
                 .bytes = rep.bytes, .seconds = rep.wall_seconds,
                 .gbps = rep.gbps(), .task_lanes = rep.task_lanes});
     }
   }
 
-  // The same partitioning through the general engine: multi_device_* are now
-  // thin wrappers over StreamEngine, so this section shows the engine's
-  // chunked scheduling (256 KiB claims) against the wrappers' one-chunk-per-
-  // device layout on identical work.
+  // The same partitioning through the general engine: multi_device_generate
+  // runs on StreamEngine, so this section shows the engine's chunked
+  // scheduling (256 KiB claims) against its one-chunk-per-device layout on
+  // identical work.
   std::printf("\n=== StreamEngine chunked scheduling (same stream) ===\n");
   std::printf("%-9s %12s %12s %16s %10s\n", "workers", "wall s", "sum-work s",
               "modeled speedup", "identical");
@@ -88,7 +85,7 @@ void print_scaling(bsrng::bench::JsonWriter& json,
     co::make_generator("aes-ctr-bs32", 7)->fill(direct);
     std::printf("%-9zu %12.4f %12.4f %16.2f %10s\n", w, rep.wall_seconds,
                 rep.sum_worker_seconds, rep.modeled_speedup(),
-                out == direct ? "yes" : "NO");
+                check(out == direct));
     json.add({.algorithm = "aes-ctr-bs32", .width = 32, .workers = w,
               .bytes = rep.bytes, .seconds = rep.wall_seconds,
               .gbps = rep.gbps(), .task_lanes = rep.task_lanes});
@@ -99,14 +96,15 @@ void print_scaling(bsrng::bench::JsonWriter& json,
       "work-balance bound (~2.0) minus partition overhead — wall time needs\n"
       "more than one host core to show it (this host: see nproc note in\n"
       "EXPERIMENTS.md E5).  Reconstruction identity holds for every D.\n");
+  return identical;
 }
 
 void BM_MultiDeviceAesCtr(benchmark::State& state) {
-  const std::vector<std::uint8_t> key(16, 1), nonce(12, 2);
   std::vector<std::uint8_t> out(1u << 20);
   const auto d = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(co::multi_device_aes_ctr(key, nonce, d, out));
+    benchmark::DoNotOptimize(
+        co::multi_device_generate("aes-ctr-bs32", 1, d, out));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(out.size()));
@@ -126,6 +124,5 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  print_scaling(json, algos);
-  return 0;
+  return print_scaling(json, algos) ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 //                StreamRequest, StreamCheckpoint + serialize_checkpoint /
 //                parse_checkpoint (O(1) resumable positions)
 //   sharding     StreamEngine, StreamEngineConfig, PartitionSpec,
-//                PartitionKind, multi_device_aes_ctr / multi_device_mickey
+//                PartitionKind, multi_device_generate + MultiDeviceOptions
 //   measurement  ThroughputReport, WorkerStat, measure_throughput
 //   telemetry    telemetry::MetricsRegistry, the process-global
 //                telemetry::metrics() registry, MetricsSnapshot JSON export
@@ -78,9 +78,8 @@ using core::PartitionSpec;
 using core::partition_spec;
 using core::StreamEngine;
 using core::StreamEngineConfig;
-using core::multi_device_aes_ctr;
-using core::multi_device_mickey;
 using core::multi_device_generate;
+using core::MultiDeviceOptions;
 using core::MultiDeviceReport;
 
 // Algorithm descriptors (the single source of truth behind the registry,

@@ -1,29 +1,22 @@
 #include "core/multi_device.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "bitslice/slice.hpp"
-#include "ciphers/aes_bs.hpp"
-#include "ciphers/mickey_bs.hpp"
+#include "core/registry.hpp"
 #include "core/stream_engine.hpp"
 #include "gpusim/device.hpp"
-#include "lfsr/bitsliced_lfsr.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace bsrng::core {
 
-namespace bs = bsrng::bitslice;
-
 namespace {
 
-// Per-device throughput accounting for the §5.4 wrappers; the engine's own
+// Per-device throughput accounting for §5.4 runs; the engine's own
 // metrics (stream_engine.*) cover bytes/latency, these add the device view.
 struct MultiDeviceMetrics {
   telemetry::Counter& runs;
@@ -58,109 +51,16 @@ MultiDeviceReport record_run(MultiDeviceReport rep) {
   return rep;
 }
 
-// 32-lane AES-CTR shard seeked to a counter offset; the engine concatenates
-// these per-device chunks back into the canonical stream.
-class AesCtrShard final : public Generator {
- public:
-  AesCtrShard(std::span<const std::uint8_t> key16,
-              std::span<const std::uint8_t> nonce12, std::uint32_t counter0)
-      : gen_(key16, nonce12, counter0) {}
-
-  void fill(std::span<std::uint8_t> out) override { gen_.fill(out); }
-  std::string_view name() const noexcept override {
-    return "aes-ctr-bs32-shard";
-  }
-  std::size_t lanes() const noexcept override { return 32; }
-
- private:
-  ciphers::AesCtrBs<bs::SliceU32> gen_;
-};
-
-// One device's 32-lane MICKEY engine as a column stream: each step yields
-// 4 keystream bytes (bit j = lane j, little-endian within the word).
-class MickeyShard final : public Generator {
- public:
-  explicit MickeyShard(std::uint64_t seed) : gen_(seed) {}
-
-  void fill(std::span<std::uint8_t> out) override {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (have_ == 0) {
-        word_ = gen_.step();
-        have_ = 4;
-      }
-      out[i] = static_cast<std::uint8_t>(word_ >> (8 * (4 - have_)));
-      --have_;
-    }
-  }
-  std::string_view name() const noexcept override { return "mickey-bs32-shard"; }
-  std::size_t lanes() const noexcept override { return 32; }
-
- private:
-  ciphers::MickeyBs<bs::SliceU32> gen_;
-  std::uint32_t word_ = 0;
-  std::size_t have_ = 0;
-};
-
-StreamEngine make_device_engine(std::size_t devices, bool parallel) {
+// The host path: one StreamEngine worker per device, one contiguous chunk
+// each (the §5.4 layout).
+MultiDeviceReport host_generate(const PartitionSpec& spec, std::size_t devices,
+                                std::span<std::uint8_t> out, bool parallel) {
   StreamEngineConfig cfg;
   cfg.workers = devices;
-  cfg.chunk_bytes = 0;  // one contiguous chunk per device (§5.4 layout)
+  cfg.chunk_bytes = 0;
   cfg.parallel = parallel;
-  return StreamEngine(cfg);
+  return record_run(StreamEngine(cfg).generate(spec, 0, out));
 }
-
-}  // namespace
-
-MultiDeviceReport multi_device_aes_ctr(std::span<const std::uint8_t> key16,
-                                       std::span<const std::uint8_t> nonce12,
-                                       std::size_t devices,
-                                       std::span<std::uint8_t> out,
-                                       bool parallel) {
-  if (devices == 0) throw std::invalid_argument("need at least one device");
-  std::array<std::uint8_t, 16> key{};
-  std::array<std::uint8_t, 12> nonce{};
-  std::copy(key16.begin(), key16.end(), key.begin());
-  std::copy(nonce12.begin(), nonce12.end(), nonce.begin());
-  PartitionSpec spec;
-  spec.kind = PartitionKind::kCounter;
-  spec.block_bytes = 16;
-  spec.make_at_block = [key, nonce](std::uint64_t b) {
-    return std::unique_ptr<Generator>(std::make_unique<AesCtrShard>(
-        std::span(key), std::span(nonce), static_cast<std::uint32_t>(b)));
-  };
-  return record_run(make_device_engine(devices, parallel).generate(spec, 0, out));
-}
-
-MultiDeviceReport multi_device_mickey(std::uint64_t master_seed,
-                                      std::size_t devices,
-                                      std::span<std::uint8_t> out,
-                                      bool parallel) {
-  if (devices == 0) throw std::invalid_argument("need at least one device");
-  PartitionSpec spec;
-  spec.kind = PartitionKind::kLaneSlice;
-  spec.lane_blocks = devices;
-  spec.lane_block_bytes = 4;  // 32 lanes per device engine
-  spec.make_lane_block = [master_seed](std::size_t d) {
-    // Per-device seed: disjoint splitmix substreams of the master seed.
-    std::uint64_t x = master_seed;
-    std::uint64_t seed = 0;
-    for (std::size_t i = 0; i <= d; ++i) seed = lfsr::splitmix64(x);
-    return std::unique_ptr<Generator>(std::make_unique<MickeyShard>(seed));
-  };
-  return record_run(make_device_engine(devices, parallel).generate(spec, 0, out));
-}
-
-MultiDeviceReport multi_device_generate(std::string_view algorithm,
-                                        std::uint64_t seed,
-                                        std::size_t devices,
-                                        std::span<std::uint8_t> out,
-                                        bool parallel) {
-  if (devices == 0) throw std::invalid_argument("need at least one device");
-  return record_run(make_device_engine(devices, parallel)
-                        .generate(partition_spec(algorithm, seed), 0, out));
-}
-
-namespace {
 
 // Generate [lo, hi) of the canonical stream for `spec` through one
 // gpusim::Device: every kernel thread owns a word-aligned slice of the
@@ -217,12 +117,11 @@ MultiDeviceReport multi_device_generate(std::string_view algorithm,
                                         std::size_t devices,
                                         std::span<std::uint8_t> out,
                                         const MultiDeviceOptions& options) {
-  if (!options.use_gpusim)
-    return multi_device_generate(algorithm, seed, devices, out,
-                                 options.parallel);
   if (devices == 0) throw std::invalid_argument("need at least one device");
-  using Clock = std::chrono::steady_clock;
   const PartitionSpec spec = partition_spec(algorithm, seed);
+  if (!options.use_gpusim)
+    return host_generate(spec, devices, out, options.parallel);
+  using Clock = std::chrono::steady_clock;
 
   MultiDeviceReport rep;
   rep.per_worker.resize(devices);
@@ -274,8 +173,8 @@ MultiDeviceReport multi_device_generate(std::string_view algorithm,
   if (other) std::rethrow_exception(other);
   if (faulted > 0) {
     MultiDeviceMetrics::get().device_fallbacks.add(faulted);
-    MultiDeviceReport host = multi_device_generate(algorithm, seed, devices,
-                                                   out, options.parallel);
+    MultiDeviceReport host = host_generate(spec, devices, out,
+                                           options.parallel);
     host.device_fallbacks = faulted;
     host.degraded_to_host = true;
     return host;

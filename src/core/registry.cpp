@@ -297,12 +297,8 @@ PartitionSpec partition_spec(std::string_view name, std::uint64_t seed) {
     // full engine — reproduces byte columns [f/8, (f+w)/8) of every row.
     spec.kind = PartitionKind::kLaneSlice;
     spec.lane_blocks = w / kLaneBlockLanes;
-    spec.lane_block_bytes = kLaneBlockLanes / 8;
     spec.make_lanes = [d, n, seed](std::size_t first_lane, std::size_t width) {
       return d->make_lanes(n, seed, first_lane, width);
-    };
-    spec.make_lane_block = [make = spec.make_lanes](std::size_t b) {
-      return make(b * kLaneBlockLanes, kLaneBlockLanes);
     };
     return spec;
   }

@@ -47,21 +47,15 @@ struct PartitionSpec {
   std::function<std::unique_ptr<Generator>(std::uint64_t first_block)>
       make_at_block;
 
-  // kLaneSlice: the serialized stream is rows of
-  // lane_blocks * lane_block_bytes bytes; make_lane_block(b) yields the
-  // column sub-stream contributing bytes [b*lane_block_bytes,
-  // (b+1)*lane_block_bytes) of every row.
+  // kLaneSlice: the serialized stream is rows of lane_blocks * 32 lanes
+  // (lane_blocks * 4 bytes).  make_lanes(first_lane, width) yields the
+  // column sub-stream over lanes [first_lane, first_lane + width) for any
+  // width in {32, ..., 512} that divides the row's lane count and any
+  // width-aligned first_lane — bytes [first_lane/8, (first_lane+width)/8)
+  // of every row.  StreamEngine groups the lanes into the widest columns
+  // its worker count allows; a kLaneSlice spec without make_lanes is
+  // malformed.
   std::size_t lane_blocks = 0;
-  std::size_t lane_block_bytes = 0;
-  std::function<std::unique_ptr<Generator>(std::size_t lane_block)>
-      make_lane_block;
-  // Optional, kLaneSlice: the column sub-stream over lanes
-  // [first_lane, first_lane + width) for any width in {32, ..., 512} that
-  // divides the row's lane count and any width-aligned first_lane — bytes
-  // [first_lane/8, (first_lane+width)/8) of every row.  When set,
-  // StreamEngine groups lanes into the widest tasks its worker count allows
-  // instead of one task per lane block.  Registry specs set it; hand-built
-  // specs (multi_device_mickey) may leave it empty.
   std::function<std::unique_ptr<Generator>(std::size_t first_lane,
                                            std::size_t width)>
       make_lanes;

@@ -206,27 +206,16 @@ ThroughputReport StreamEngine::run_counter(const PartitionSpec& spec,
 ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
                                               std::uint64_t offset,
                                               std::span<std::uint8_t> out) {
-  if (spec.lane_blocks == 0 || spec.lane_block_bytes == 0 ||
-      !spec.make_lane_block)
+  if (spec.lane_blocks == 0 || !spec.make_lanes)
     throw std::invalid_argument("StreamEngine: malformed kLaneSlice spec");
-  const std::size_t row = spec.lane_blocks * spec.lane_block_bytes;
-  // Task width: the widest ladder width (512 down to 64 lanes) that divides
-  // the row and still leaves at least one column task per worker; one lane
-  // block per task when no such width exists or the spec cannot build wider
-  // columns.  A narrow step costs nearly what a wide one does, so the
+  const std::size_t row = spec.lane_blocks * 4;  // 32 lanes per lane block
+  // Task width: the widest ladder width (512 down to 32 lanes) that divides
+  // the row and still leaves at least one column task per worker; 32 lanes
+  // when none does.  A narrow step costs nearly what a wide one does, so the
   // fewest, widest tasks that keep every worker busy are the fastest.
-  std::size_t cb = spec.lane_block_bytes;  // bytes per row per column task
-  if (spec.make_lanes)
-    for (std::size_t w = 512; w >= 64; w /= 2)
-      if (row % (w / 8) == 0 && row / (w / 8) >= config_.workers) {
-        cb = w / 8;
-        break;
-      }
+  std::size_t cb = 512 / 8;  // bytes per row per column task
+  while (cb > 32 / 8 && (row % cb != 0 || row / cb < config_.workers)) cb /= 2;
   const std::size_t ncols = row / cb;
-  const auto make_column = [&](std::size_t c) {
-    return cb == spec.lane_block_bytes ? spec.make_lane_block(c)
-                                       : spec.make_lanes(c * cb * 8, cb * 8);
-  };
   // The span starts `within` bytes into row r0 and covers `rows` rows.
   const std::uint64_t r0 = offset / row;
   const std::size_t within = static_cast<std::size_t>(offset % row);
@@ -238,7 +227,7 @@ ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
     // past `offset` and fills `out` directly, with no scratch or scatter.
     rep = dispatch(rows == 0 ? 0 : 1,
                    [&](std::size_t, std::size_t) -> std::uint64_t {
-      auto gen = make_column(0);
+      auto gen = spec.make_lanes(0, cb * 8);
       discard_bytes(*gen, offset);
       gen->fill(out);
       return out.size();
@@ -259,7 +248,7 @@ ThroughputReport StreamEngine::run_lane_slice(const PartitionSpec& spec,
   const bool pooled = config_.parallel && pool_ != nullptr;
   rep = dispatch(rows == 0 ? 0 : ncols,
                  [&](std::size_t worker, std::size_t c) -> std::uint64_t {
-    auto gen = make_column(c);
+    auto gen = spec.make_lanes(c * cb * 8, cb * 8);
     discard_bytes(*gen, r0 * cb);
     std::vector<std::uint8_t> local[2];
     const auto buf = [&](std::size_t which) -> std::vector<std::uint8_t>& {

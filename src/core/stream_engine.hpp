@@ -53,11 +53,11 @@ struct StreamEngineConfig {
   std::size_t workers = 0;
   // Scheduling granularity for kCounter/kSequential chunking and the
   // kLaneSlice scatter buffers.  0 = one contiguous chunk per worker (the
-  // §5.4 multi-device layout, used by the multi_device_* wrappers).
+  // §5.4 multi-device layout, used by multi_device_generate).
   std::size_t chunk_bytes = 1u << 18;
   // When false, tasks run inline on the calling thread in task order
-  // (attributed round-robin to "workers" for the report) — the multi-device
-  // wrappers' sequential baseline mode.
+  // (attributed round-robin to "workers" for the report) — the
+  // sequential baseline of MultiDeviceOptions::parallel = false.
   bool parallel = true;
   // NUMA placement: 0 = detect (BSRNG_NUMA_NODES override, then sysfs,
   // then single node); N > 0 = force N emulated nodes.  Placement never
@@ -99,11 +99,14 @@ class StreamEngine {
   ThroughputReport generate(const StreamRequest& req,
                             std::span<std::uint8_t> out);
 
-  // Low-level positional form for hand-built specs (the multi_device_*
-  // wrappers); generate(req, out) is this applied to the registry spec of
-  // the derived seed.  The tail-equivalence law: generate(spec, offset, n)
-  // equals the last n bytes of generate(spec, 0, offset + n), for every
-  // worker count (tests/core/stream_engine_test.cpp pins it).
+  // Low-level positional form over a PartitionSpec (multi_device_generate
+  // and the gpusim device shards call it with registry specs);
+  // generate(req, out) is this applied to the registry spec of the derived
+  // seed.  Throws std::invalid_argument for a malformed spec (a kLaneSlice
+  // spec without make_lanes, a kCounter spec without make_at_block).  The
+  // tail-equivalence law: generate(spec, offset, n) equals the last n bytes
+  // of generate(spec, 0, offset + n), for every worker count
+  // (tests/core/stream_engine_test.cpp pins it).
   ThroughputReport generate(const PartitionSpec& spec, std::uint64_t offset,
                             std::span<std::uint8_t> out);
 

@@ -23,9 +23,10 @@ ThroughputResult measure_throughput(Generator& gen, std::uint64_t total_bytes,
                                     std::size_t chunk_bytes = 1 << 16);
 
 // ---------------------------------------------------------------------------
-// Multi-worker accounting, shared by StreamEngine and the §5.4 multi-device
-// wrappers.  "Worker" is one pool thread (or one simulated device); busy time
-// is the span each worker spent generating, excluding pool idle waits.
+// Multi-worker accounting, shared by StreamEngine and §5.4
+// multi_device_generate.  "Worker" is one pool thread (or one simulated
+// device); busy time is the span each worker spent generating, excluding
+// pool idle waits.
 // ---------------------------------------------------------------------------
 
 struct WorkerStat {

@@ -156,9 +156,6 @@ struct Server::Impl {
     bool closing = false;     // flush wbuf, then close
     bool throttled = false;   // over the write high watermark: not reading
     bool dead = false;        // socket error: close immediately
-    // Advisory protocol version from kHello (requests self-describe, so a
-    // client that never says hello simply stays at 1).
-    std::uint32_t version = 1;
     Clock::time_point last_activity;   // last byte read or written
     Clock::time_point partial_since;   // oldest incomplete-frame byte
     bool has_partial = false;
@@ -718,7 +715,6 @@ struct Server::Impl {
         const bool supported =
             front.req.hello_version >= kProtocolVersionMin &&
             front.req.hello_version <= kProtocolVersion;
-        if (supported) c.version = front.req.hello_version;
         respond(c, supported ? Status::kOk : Status::kBadVersion, ver);
         c.pending.pop_front();
         continue;

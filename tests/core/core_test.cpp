@@ -138,29 +138,28 @@ TEST(Throughput, MeasuresAndScales) {
 // --- §5.4 multi-device -------------------------------------------------------
 
 TEST(MultiDevice, AesCtrIsDeviceCountInvariant) {
-  std::vector<std::uint8_t> key(16, 0x42), nonce(12, 0x17);
-  std::vector<std::uint8_t> one(100000), two(100000), four(100000),
-      seven(100000);
-  co::multi_device_aes_ctr(key, nonce, 1, one);
-  co::multi_device_aes_ctr(key, nonce, 2, two);
-  co::multi_device_aes_ctr(key, nonce, 4, four, /*parallel=*/false);
-  co::multi_device_aes_ctr(key, nonce, 7, seven);
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one, seven);
+  std::vector<std::uint8_t> reference(100000);
+  co::make_generator("aes-ctr-bs32", 0x42)->fill(reference);
+  for (const std::size_t d : {1u, 2u, 4u, 7u}) {
+    std::vector<std::uint8_t> out(reference.size());
+    co::multi_device_generate("aes-ctr-bs32", 0x42, d, out,
+                              {.parallel = d != 4});
+    EXPECT_EQ(out, reference) << "devices " << d;
+  }
 }
 
 TEST(MultiDevice, MickeyIsParallelismInvariant) {
-  std::vector<std::uint8_t> par(65536), seq(65536);
-  co::multi_device_mickey(2024, 2, par, /*parallel=*/true);
-  co::multi_device_mickey(2024, 2, seq, /*parallel=*/false);
-  EXPECT_EQ(par, seq);
+  std::vector<std::uint8_t> reference(65536), par(65536), seq(65536);
+  co::make_generator("mickey-bs128", 2024)->fill(reference);
+  co::multi_device_generate("mickey-bs128", 2024, 2, par, {.parallel = true});
+  co::multi_device_generate("mickey-bs128", 2024, 2, seq, {.parallel = false});
+  EXPECT_EQ(par, reference);
+  EXPECT_EQ(seq, reference);
 }
 
 TEST(MultiDevice, ReportAccountsWork) {
-  std::vector<std::uint8_t> key(16, 1), nonce(12, 2);
   std::vector<std::uint8_t> out(1 << 20);
-  const auto rep = co::multi_device_aes_ctr(key, nonce, 2, out);
+  const auto rep = co::multi_device_generate("aes-ctr-bs32", 1, 2, out);
   EXPECT_EQ(rep.workers, 2u);
   EXPECT_GT(rep.sum_worker_seconds, 0.0);
   EXPECT_GE(rep.sum_worker_seconds, rep.max_worker_seconds);
@@ -171,8 +170,10 @@ TEST(MultiDevice, ReportAccountsWork) {
 }
 
 TEST(MultiDevice, ZeroDevicesRejected) {
-  std::vector<std::uint8_t> key(16, 1), nonce(12, 2), out(16);
-  EXPECT_THROW(co::multi_device_aes_ctr(key, nonce, 0, out),
+  std::vector<std::uint8_t> out(16);
+  EXPECT_THROW(co::multi_device_generate("aes-ctr-bs32", 1, 0, out),
                std::invalid_argument);
-  EXPECT_THROW(co::multi_device_mickey(1, 0, out), std::invalid_argument);
+  EXPECT_THROW(co::multi_device_generate("mickey-bs128", 1, 0, out,
+                                         {.use_gpusim = true}),
+               std::invalid_argument);
 }

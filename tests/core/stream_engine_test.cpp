@@ -392,22 +392,16 @@ TEST(StreamEngineTaskWidth, OneWorkerRunsTheWholeRowAsOneTask) {
   }
 }
 
-TEST(StreamEngineTaskWidth, SpecsWithoutMakeLanesKeepLaneBlockTasks) {
-  // A hand-built spec that only knows its 32-lane blocks is split into
-  // exactly those blocks, whatever the worker count.
-  const std::string name = "grain-bs256";
-  co::PartitionSpec spec = co::partition_spec(name, kSeed);
+TEST(StreamEngineTaskWidth, LaneSliceSpecWithoutMakeLanesIsRejected) {
+  // make_lanes is how the engine builds every lane-slice column, so a
+  // kLaneSlice spec without it is malformed at any worker count.
+  co::PartitionSpec spec = co::partition_spec("grain-bs256", kSeed);
   spec.make_lanes = nullptr;
-  std::vector<std::uint8_t> reference(10007);
-  co::make_generator(name, kSeed)->fill(reference);
   for (const std::size_t workers : {1u, 4u}) {
     co::StreamEngine engine({.workers = workers});
     std::vector<std::uint8_t> out(10000);
-    const auto rep = engine.generate(spec, 7, out);
-    ASSERT_TRUE(std::equal(out.begin(), out.end(), reference.begin() + 7))
+    EXPECT_THROW(engine.generate(spec, 7, out), std::invalid_argument)
         << "workers " << workers;
-    EXPECT_EQ(rep.task_lanes, 32u);
-    EXPECT_EQ(total_tasks(rep), 256u / 32u);
   }
 }
 
